@@ -459,6 +459,38 @@ func BenchmarkHeaderLocalizeCubes(b *testing.B) {
 	}
 }
 
+// BenchmarkDDNFBuild times ddnf.Build alone over the prefix-range
+// vocabulary of generated route-map pairs at 1k and 4k clauses (both
+// vendors' prefix lists and route-filters). The builder is near-linear,
+// so rm4k should cost about 4× rm1k; a superlinear builder shows as a
+// far larger jump between the two (~16× for a quadratic one).
+func BenchmarkDDNFBuild(b *testing.B) {
+	for _, size := range []struct {
+		name    string
+		clauses int
+	}{{"rm1k", 1000}, {"rm4k", 4000}} {
+		b.Run(size.name, func(b *testing.B) {
+			pair := policygen.Generate(policygen.Params{Seed: 1, Clauses: size.clauses})
+			c, err := cisco.Parse("c.cfg", pair.CiscoText)
+			if err != nil {
+				b.Fatal(err)
+			}
+			j, err := juniper.Parse("j.cfg", pair.JuniperText)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ranges := append(headerloc.ConfigPrefixRanges(c), headerloc.ConfigPrefixRanges(j)...)
+			var nodes int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nodes = len(ddnf.Build(ranges).Nodes)
+			}
+			b.ReportMetric(float64(len(ranges)), "ranges/op")
+			b.ReportMetric(float64(nodes), "nodes/op")
+		})
+	}
+}
+
 // BenchmarkBDDOps tracks the raw engine cost of the symbolic substrate.
 func BenchmarkBDDOps(b *testing.B) {
 	f := bdd.NewFactory(64)
@@ -514,7 +546,7 @@ func BenchmarkSemanticDiffRouteMap300(b *testing.B) { benchRouteMapDiff(b, 300) 
 // BenchmarkSemanticDiffRouteMap10000 is the kernel-scale tier: 10k
 // generated clauses through encoding + enumeration + pairwise diff
 // (~1M nodes per iteration). Header localization is measured separately
-// — its DDNF dag is the known wall at this clause count.
+// (BenchmarkDDNFBuild times its DAG build).
 func BenchmarkSemanticDiffRouteMap10000(b *testing.B) { benchRouteMapDiff(b, 10000) }
 
 // BenchmarkRouteMapOrderSearch measures the static variable-order search

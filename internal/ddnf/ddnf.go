@@ -5,10 +5,22 @@
 // closed under intersection, and edges encode immediate containment.
 // GetMatch traverses the DAG to express an input set S as a minimal union
 // of terms "R − X₁ − … − Xₖ" over the configuration's own prefix ranges.
+//
+// Build works over the binary trie of the ranges' prefixes: two ranges
+// intersect only along a trie path, so the intersection closure and the
+// immediate-containment edges are computed per prefix against the at
+// most 33 prefixes above it, near-linear in the number of labels instead
+// of cubic (the pairwise definition survives as the tests' reference
+// oracle). A Matcher caches each node's BDDs across GetMatch calls and
+// walks each node once per call; its cached nodes share the lifetime of
+// the SetOps' Universe, so no bdd.Factory GC or Reset may run while a
+// Matcher is in use.
 package ddnf
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,7 +32,7 @@ import (
 type Node struct {
 	Range    netaddr.PrefixRange
 	Children []*Node
-	parents  []*Node
+	id       int // index in DAG.Nodes
 }
 
 // DAG is the prefix-range containment DAG.
@@ -29,90 +41,175 @@ type DAG struct {
 	Nodes []*Node
 }
 
+// interval is a length interval [lo, hi] of a prefix range.
+type interval struct{ lo, hi uint8 }
+
+func (x interval) contains(y interval) bool { return x.lo <= y.lo && y.hi <= x.hi }
+
+func (x interval) intersect(y interval) (interval, bool) {
+	z := interval{max(x.lo, y.lo), min(x.hi, y.hi)}
+	return z, z.lo <= z.hi
+}
+
+// bucket holds the closed labels that share one prefix: a node of the
+// binary prefix trie that carries at least one range.
+type bucket struct {
+	prefix netaddr.Prefix
+	up     *bucket    // nearest ancestor bucket (nil for 0.0.0.0/0)
+	ivs    []interval // closed intervals, sorted by (lo, hi)
+	nodes  []*Node    // parallel to ivs
+	// byWidth lists ivs indices by increasing hi−lo: a range strictly
+	// inside another of the same prefix comes first.
+	byWidth []int
+}
+
 // Build constructs the DAG from the prefix ranges extracted from a pair
 // of configurations: the universe is added, the set is closed under
 // intersection, duplicates (semantic) are removed, and immediate
 // containment edges are installed (properties 1–4 in the paper).
+//
+// The construction runs over the binary trie of the ranges' prefixes,
+// using three facts about prefix ranges:
+//
+//   - Closure never creates a prefix. Two ranges intersect only when one
+//     prefix is a trie ancestor of (or equal to) the other; the result
+//     keeps the longer prefix and intersects the length intervals.
+//   - Closure is per prefix. The labels at a prefix are the intersections
+//     of its own intervals with each other and with the closed labels of
+//     its trie ancestors, which are already closed when the prefixes are
+//     visited in (address, length) order. Length intervals lie in
+//     [0, 32], so a prefix holds at most 561 of them.
+//   - Parents are local. A node's immediate parents are the minimal
+//     elements among its strict containers, and every container sits on
+//     the prefix's own trie path (at most 33 buckets).
+//
+// With k labels per prefix and depth d ≤ 33 the cost is O(n·d·k) for n
+// labels, against the O(n³) of the pairwise definition, which the tests
+// keep as the reference. Prefixes must be canonical (host bits zero).
+// Nodes come out sorted by PrefixRange.Compare and every Children list
+// is sorted the same way.
 func Build(ranges []netaddr.PrefixRange) *DAG {
-	labels := closeUnderIntersection(ranges)
-	nodes := make([]*Node, len(labels))
-	for i, r := range labels {
-		nodes[i] = &Node{Range: r}
-	}
-	// Immediate containment: n is a child of m iff n ⊂ m strictly and no
-	// intermediate node sits between them.
-	strictlyContains := func(a, b netaddr.PrefixRange) bool {
-		return a.ContainsRange(b) && !b.ContainsRange(a)
-	}
-	for _, m := range nodes {
-		for _, n := range nodes {
-			if m == n || !strictlyContains(m.Range, n.Range) {
-				continue
-			}
-			immediate := true
-			for _, k := range nodes {
-				if k == m || k == n {
-					continue
-				}
-				if strictlyContains(m.Range, k.Range) && strictlyContains(k.Range, n.Range) {
-					immediate = false
-					break
-				}
-			}
-			if immediate {
-				m.Children = append(m.Children, n)
-				n.parents = append(n.parents, m)
+	buckets := closeOverTrie(ranges)
+	d := &DAG{}
+	for _, b := range buckets {
+		b.nodes = make([]*Node, len(b.ivs))
+		for i, x := range b.ivs {
+			n := &Node{Range: netaddr.PrefixRange{Prefix: b.prefix, Lo: x.lo, Hi: x.hi}, id: len(d.Nodes)}
+			b.nodes[i] = n
+			d.Nodes = append(d.Nodes, n)
+			if n.Range == netaddr.Universe {
+				d.Root = n
 			}
 		}
-	}
-	var root *Node
-	for _, n := range nodes {
-		if n.Range.Equal(netaddr.Universe) {
-			root = n
-			break
+		b.byWidth = make([]int, len(b.ivs))
+		for i := range b.byWidth {
+			b.byWidth[i] = i
 		}
-	}
-	for _, n := range nodes {
-		sort.Slice(n.Children, func(i, j int) bool {
-			return n.Children[i].Range.Compare(n.Children[j].Range) < 0
+		slices.SortFunc(b.byWidth, func(i, j int) int {
+			return cmp.Compare(b.ivs[i].hi-b.ivs[i].lo, b.ivs[j].hi-b.ivs[j].lo)
 		})
 	}
-	return &DAG{Root: root, Nodes: nodes}
-}
-
-// closeUnderIntersection adds the universe, closes the set under pairwise
-// intersection, and removes empty and duplicate ranges. The result is
-// sorted for determinism.
-func closeUnderIntersection(ranges []netaddr.PrefixRange) []netaddr.PrefixRange {
-	seen := map[netaddr.PrefixRange]bool{}
-	var out []netaddr.PrefixRange
-	add := func(r netaddr.PrefixRange) bool {
-		if r.IsEmpty() || seen[r] {
-			return false
-		}
-		seen[r] = true
-		out = append(out, r)
-		return true
-	}
-	add(netaddr.Universe)
-	for _, r := range ranges {
-		add(r)
-	}
-	for changed := true; changed; {
-		changed = false
-		n := len(out)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if inter, ok := out[i].Intersect(out[j]); ok {
-					if add(inter) {
-						changed = true
+	// Parents, found from each child. Buckets are visited deepest first
+	// and each bucket's intervals narrowest first, so any container
+	// strictly inside a candidate has already been seen; a candidate is
+	// an immediate parent iff no parent found so far lies inside it.
+	// Nodes are visited in sorted order, so every Children list is
+	// appended to in sorted order.
+	var parentIvs []interval
+	for _, b := range buckets {
+		for i, x := range b.ivs {
+			n := b.nodes[i]
+			parentIvs = parentIvs[:0]
+			for c := b; c != nil; c = c.up {
+			candidates:
+				for _, j := range c.byWidth {
+					y := c.ivs[j]
+					if !y.contains(x) || (c == b && y == x) {
+						continue
 					}
+					for _, z := range parentIvs {
+						if y.contains(z) {
+							continue candidates
+						}
+					}
+					c.nodes[j].Children = append(c.nodes[j].Children, n)
+					parentIvs = append(parentIvs, y)
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return d
+}
+
+// closeOverTrie groups the non-empty ranges (plus the universe) by
+// prefix and closes each prefix's intervals against its trie ancestors.
+// The buckets come back in (address, length) order, which visits every
+// trie ancestor before its descendants.
+func closeOverTrie(ranges []netaddr.PrefixRange) []*bucket {
+	own := map[netaddr.Prefix][]interval{}
+	for _, r := range append([]netaddr.PrefixRange{netaddr.Universe}, ranges...) {
+		if !r.IsEmpty() {
+			own[r.Prefix] = append(own[r.Prefix], interval{r.Lo, r.Hi})
+		}
+	}
+	prefixes := make([]netaddr.Prefix, 0, len(own))
+	for p := range own {
+		prefixes = append(prefixes, p)
+	}
+	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Compare(prefixes[j]) < 0 })
+
+	// The stack holds the current trie path; chain[i] is the closed
+	// interval set of every label on the path down to stack[i].
+	var stack []*bucket
+	var chain [][]interval
+	out := make([]*bucket, 0, len(prefixes))
+	for _, p := range prefixes {
+		for len(stack) > 0 && !stack[len(stack)-1].prefix.ContainsPrefix(p) {
+			stack, chain = stack[:len(stack)-1], chain[:len(chain)-1]
+		}
+		b := &bucket{prefix: p}
+		var anc []interval
+		if len(stack) > 0 {
+			b.up = stack[len(stack)-1]
+			anc = chain[len(chain)-1]
+		}
+		// The prefix's own intervals closed among themselves: on a line,
+		// every intersection of a set of intervals is the intersection
+		// of two of them, so pairs suffice.
+		mine := sortUnique(own[p])
+		var ivs []interval
+		for i, x := range mine {
+			for _, y := range mine[i:] {
+				if z, ok := x.intersect(y); ok {
+					ivs = append(ivs, z)
+				}
+			}
+		}
+		// Then against the ancestors' labels. Both sets are closed, so
+		// their pairwise products close the union.
+		ivs = sortUnique(ivs)
+		n := len(ivs)
+		for _, a := range anc {
+			for _, x := range ivs[:n] {
+				if z, ok := a.intersect(x); ok {
+					ivs = append(ivs, z)
+				}
+			}
+		}
+		b.ivs = sortUnique(ivs)
+		out = append(out, b)
+		stack = append(stack, b)
+		chain = append(chain, sortUnique(slices.Concat(anc, b.ivs)))
+	}
 	return out
+}
+
+// sortUnique sorts intervals by (lo, hi) and drops duplicates, in place.
+func sortUnique(ivs []interval) []interval {
+	slices.SortFunc(ivs, func(x, y interval) int {
+		return cmp.Or(cmp.Compare(x.lo, y.lo), cmp.Compare(x.hi, y.hi))
+	})
+	return slices.Compact(ivs)
 }
 
 // Term is one element of GetMatch's result: the range Include minus the
@@ -141,17 +238,51 @@ type SetOps struct {
 	Universe bdd.Node
 }
 
-func (o SetOps) contains(sub, super bdd.Node) bool {
-	return o.F.Implies(sub, super)
+// Matcher answers GetMatch queries over one DAG and one SetOps. It
+// caches every node's range∧Universe BDD and its remainder BDD (the
+// range minus its children) across calls, and within one call it
+// answers each (set, node) visit once, so a node reachable through
+// several parents is walked once. The cached nodes live as long as
+// o.Universe does: like any holder of Universe, the Matcher is invalid
+// after a bdd.Factory GC or Reset.
+type Matcher struct {
+	d        *DAG
+	o        SetOps
+	rng, rem []bdd.Node
+	cached   []bool
+	memo     map[visit][]Term // per GetMatch call
 }
 
-// remainder computes node.Range minus its children's ranges, symbolically.
-func (o SetOps) remainder(n *Node) bdd.Node {
-	r := o.RangeBDD(n.Range)
-	for _, c := range n.Children {
-		r = o.F.Diff(r, o.RangeBDD(c.Range))
+type visit struct {
+	s  bdd.Node
+	id int
+}
+
+// NewMatcher prepares GetMatch queries over d with the semantics o.
+func (d *DAG) NewMatcher(o SetOps) *Matcher {
+	return &Matcher{
+		d:      d,
+		o:      o,
+		rng:    make([]bdd.Node, len(d.Nodes)),
+		rem:    make([]bdd.Node, len(d.Nodes)),
+		cached: make([]bool, len(d.Nodes)),
 	}
-	return r
+}
+
+// sets returns node's range∧Universe and remainder∧Universe BDDs.
+func (m *Matcher) sets(n *Node) (rng, rem bdd.Node) {
+	if !m.cached[n.id] {
+		f := m.o.F
+		r := m.o.RangeBDD(n.Range)
+		rm := r
+		for _, c := range n.Children {
+			rm = f.Diff(rm, m.o.RangeBDD(c.Range))
+		}
+		m.rng[n.id] = f.And(r, m.o.Universe)
+		m.rem[n.id] = f.And(rm, m.o.Universe)
+		m.cached[n.id] = true
+	}
+	return m.rng[n.id], m.rem[n.id]
 }
 
 // GetMatch expresses S (a BDD subset of the universe) in terms of the
@@ -161,41 +292,55 @@ func (o SetOps) remainder(n *Node) bdd.Node {
 // (e.g. non-contiguous wildcard masks), in which case the terms
 // under-approximate S.
 func (d *DAG) GetMatch(o SetOps, s bdd.Node) ([]Term, bool) {
-	if d.Root == nil {
+	return d.NewMatcher(o).GetMatch(s)
+}
+
+// GetMatch is DAG.GetMatch with the Matcher's caches.
+func (m *Matcher) GetMatch(s bdd.Node) ([]Term, bool) {
+	o := m.o
+	if m.d.Root == nil {
 		return nil, s == bdd.False
 	}
 	s = o.F.And(s, o.Universe)
-	terms := d.getMatch(o, s, d.Root)
+	m.memo = map[visit][]Term{}
+	terms := m.getMatch(s, m.d.Root)
+	m.memo = nil
 	// Exactness check: the union of the terms must equal S.
 	union := bdd.False
 	for _, t := range terms {
-		union = o.F.Or(union, d.termBDD(o, t))
+		union = o.F.Or(union, termBDD(o, t))
 	}
 	return terms, union == s
 }
 
-func (d *DAG) getMatch(o SetOps, s bdd.Node, node *Node) []Term {
-	r := o.F.And(o.RangeBDD(node.Range), o.Universe)
-	if len(node.Children) == 0 {
-		if r != bdd.False && o.contains(r, s) {
-			return []Term{{Include: node.Range}}
-		}
-		return nil
+func (m *Matcher) getMatch(s bdd.Node, node *Node) []Term {
+	v := visit{s, node.id}
+	if ts, ok := m.memo[v]; ok {
+		return ts
 	}
-	rem := o.F.And(o.remainder(node), o.Universe)
-	if rem != bdd.False && o.contains(rem, s) {
+	o := m.o
+	r, rem := m.sets(node)
+	var out []Term
+	switch {
+	case len(node.Children) == 0:
+		if r != bdd.False && o.F.Implies(r, s) {
+			out = []Term{{Include: node.Range}}
+		}
+	case rem != bdd.False && o.F.Implies(rem, s):
 		notS := o.F.And(o.F.Not(s), o.Universe)
 		var nonmatches []Term
 		for _, c := range node.Children {
-			nonmatches = append(nonmatches, d.getMatch(o, notS, c)...)
+			nonmatches = append(nonmatches, m.getMatch(notS, c)...)
 		}
-		return []Term{{Include: node.Range, Exclude: dedupeTerms(nonmatches)}}
+		out = []Term{{Include: node.Range, Exclude: dedupeTerms(nonmatches)}}
+	default:
+		for _, c := range node.Children {
+			out = append(out, m.getMatch(s, c)...)
+		}
+		out = dedupeTerms(out)
 	}
-	var out []Term
-	for _, c := range node.Children {
-		out = append(out, d.getMatch(o, s, c)...)
-	}
-	return dedupeTerms(out)
+	m.memo[v] = out
+	return out
 }
 
 // dedupeTerms removes duplicate terms (a node reachable through two
@@ -230,10 +375,10 @@ func termsEqual(a, b Term) bool {
 }
 
 // termBDD evaluates a (possibly nested) term symbolically.
-func (d *DAG) termBDD(o SetOps, t Term) bdd.Node {
+func termBDD(o SetOps, t Term) bdd.Node {
 	n := o.F.And(o.RangeBDD(t.Include), o.Universe)
 	for _, x := range t.Exclude {
-		n = o.F.Diff(n, d.termBDD(o, x))
+		n = o.F.Diff(n, termBDD(o, x))
 	}
 	return n
 }

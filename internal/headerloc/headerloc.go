@@ -49,11 +49,13 @@ type RouteLocalization struct {
 }
 
 // RouteLocalizer localizes route-map differences over a fixed pair of
-// configurations.
+// configurations. It caches per-node BDDs across Localize calls (see
+// ddnf.Matcher), so like the encoding's other derived nodes it is
+// invalid after a GC or Reset of the encoding's factory: callers must
+// not collect the factory while a localizer is live.
 type RouteLocalizer struct {
-	enc *symbolic.RouteEncoding
-	dag *ddnf.DAG
-	ops ddnf.SetOps
+	enc   *symbolic.RouteEncoding
+	match *ddnf.Matcher
 
 	nonPrefix []int
 }
@@ -71,15 +73,13 @@ func NewRouteLocalizer(enc *symbolic.RouteEncoding, cfgs ...*ir.Config) *RouteLo
 	}
 	l := &RouteLocalizer{
 		enc:       enc,
-		dag:       ddnf.Build(ranges),
 		nonPrefix: enc.NonPrefixVars(),
 	}
-	prefixUniverse := enc.F.Exists(enc.WellFormed, l.nonPrefix)
-	l.ops = ddnf.SetOps{
+	l.match = ddnf.Build(ranges).NewMatcher(ddnf.SetOps{
 		F:        enc.F,
 		RangeBDD: enc.PrefixRangeBDD,
-		Universe: prefixUniverse,
-	}
+		Universe: enc.F.Exists(enc.WellFormed, l.nonPrefix),
+	})
 	return l
 }
 
@@ -165,7 +165,7 @@ func (l *RouteLocalizer) LocalizeCommunities(inputs bdd.Node, limit int) ([]Comm
 // Localize renders the input set of one difference.
 func (l *RouteLocalizer) Localize(inputs bdd.Node) RouteLocalization {
 	prefixSet := l.enc.F.Exists(inputs, l.nonPrefix)
-	terms, exact := l.dag.GetMatch(l.ops, prefixSet)
+	terms, exact := l.match.GetMatch(prefixSet)
 	loc := RouteLocalization{
 		Terms: ddnf.Simplify(terms),
 		Exact: exact,
@@ -197,13 +197,13 @@ type ACLLocalization struct {
 	ExamplePacket ir.Packet
 }
 
-// ACLLocalizer localizes ACL differences over a fixed pair of ACLs.
+// ACLLocalizer localizes ACL differences over a fixed pair of ACLs. Its
+// per-node BDD caches carry the same rule as RouteLocalizer's: no GC or
+// Reset of the encoding's factory while the localizer is live.
 type ACLLocalizer struct {
-	enc              *symbolic.PacketEncoding
-	srcDag, dstDag   *ddnf.DAG
-	srcOps, dstOps   ddnf.SetOps
-	nonSrc, nonDst   []int
-	srcRoot, dstRoot bdd.Node
+	enc                *symbolic.PacketEncoding
+	srcMatch, dstMatch *ddnf.Matcher
+	nonSrc, nonDst     []int
 }
 
 // aclAddressRanges extracts the address vocabulary of the ACLs: each
@@ -232,36 +232,33 @@ func aclAddressRanges(field func(*ir.ACLLine) []netaddr.Wildcard, acls ...*ir.AC
 func NewACLLocalizer(enc *symbolic.PacketEncoding, acls ...*ir.ACL) *ACLLocalizer {
 	srcRanges := aclAddressRanges(func(l *ir.ACLLine) []netaddr.Wildcard { return l.Src }, acls...)
 	dstRanges := aclAddressRanges(func(l *ir.ACLLine) []netaddr.Wildcard { return l.Dst }, acls...)
-	l := &ACLLocalizer{
-		enc:    enc,
-		srcDag: ddnf.Build(srcRanges),
-		dstDag: ddnf.Build(dstRanges),
+	return &ACLLocalizer{
+		enc: enc,
+		srcMatch: ddnf.Build(srcRanges).NewMatcher(ddnf.SetOps{
+			F: enc.F,
+			RangeBDD: func(r netaddr.PrefixRange) bdd.Node {
+				return enc.SrcPrefixBDD(r.Prefix)
+			},
+			Universe: bdd.True,
+		}),
+		dstMatch: ddnf.Build(dstRanges).NewMatcher(ddnf.SetOps{
+			F: enc.F,
+			RangeBDD: func(r netaddr.PrefixRange) bdd.Node {
+				return enc.DstPrefixBDD(r.Prefix)
+			},
+			Universe: bdd.True,
+		}),
 		nonSrc: enc.NonAddrVars("src"),
 		nonDst: enc.NonAddrVars("dst"),
 	}
-	l.srcOps = ddnf.SetOps{
-		F: enc.F,
-		RangeBDD: func(r netaddr.PrefixRange) bdd.Node {
-			return enc.SrcPrefixBDD(r.Prefix)
-		},
-		Universe: bdd.True,
-	}
-	l.dstOps = ddnf.SetOps{
-		F: enc.F,
-		RangeBDD: func(r netaddr.PrefixRange) bdd.Node {
-			return enc.DstPrefixBDD(r.Prefix)
-		},
-		Universe: bdd.True,
-	}
-	return l
 }
 
 // Localize renders the input set of one ACL difference.
 func (l *ACLLocalizer) Localize(inputs bdd.Node) ACLLocalization {
 	srcSet := l.enc.F.Exists(inputs, l.nonSrc)
 	dstSet := l.enc.F.Exists(inputs, l.nonDst)
-	srcTerms, srcExact := l.srcDag.GetMatch(l.srcOps, srcSet)
-	dstTerms, dstExact := l.dstDag.GetMatch(l.dstOps, dstSet)
+	srcTerms, srcExact := l.srcMatch.GetMatch(srcSet)
+	dstTerms, dstExact := l.dstMatch.GetMatch(dstSet)
 	loc := ACLLocalization{
 		SrcTerms: ddnf.Simplify(srcTerms),
 		DstTerms: ddnf.Simplify(dstTerms),

@@ -1,12 +1,15 @@
 package headerloc
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/aclgen"
 	"repro/internal/cisco"
 	"repro/internal/ir"
 	"repro/internal/juniper"
 	"repro/internal/netaddr"
+	"repro/internal/policygen"
 	"repro/internal/semdiff"
 	"repro/internal/symbolic"
 )
@@ -315,5 +318,53 @@ ip prefix-list NETS permit 10.9.0.0/16
 		len(l.Terms[0].Exclude) != 1 ||
 		l.Terms[0].Exclude[0].String() != "10.9.0.0/16 : 16-16" {
 		t.Errorf("terms = %v", l.Terms)
+	}
+}
+
+// TestLocalizerReuseMatchesFresh checks that the per-node caches a
+// localizer keeps across Localize calls never change an answer: one
+// localizer reused over every difference of a pair renders the same
+// Terms and Exact as a fresh localizer per difference.
+func TestLocalizerReuseMatchesFresh(t *testing.T) {
+	p := policygen.Generate(policygen.Params{Seed: 3, Clauses: 60, Differences: 5})
+	c, err := cisco.Parse("c.cfg", p.CiscoText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := juniper.Parse("j.cfg", p.JuniperText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := symbolic.NewRouteEncoding(c, j)
+	diffs, err := semdiff.DiffRouteMaps(enc, c, c.RouteMaps[p.PolicyName], j, j.RouteMaps[p.PolicyName])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diffs) < 2 {
+		t.Fatalf("diffs = %d, want several", len(diffs))
+	}
+	reused := NewRouteLocalizer(enc, c, j)
+	for i, d := range diffs {
+		got := reused.Localize(d.Inputs)
+		want := NewRouteLocalizer(enc, c, j).Localize(d.Inputs)
+		if !reflect.DeepEqual(got.Terms, want.Terms) || got.Exact != want.Exact {
+			t.Errorf("route diff %d: reused %v (exact %v), fresh %v (exact %v)", i, got.Terms, got.Exact, want.Terms, want.Exact)
+		}
+	}
+
+	a := aclgen.Generate(aclgen.Params{Seed: 1, Rules: 200, Differences: 10})
+	penc := symbolic.NewPacketEncoding()
+	adiffs := semdiff.DiffACLs(penc, a.Cisco, a.Juniper)
+	if len(adiffs) < 2 {
+		t.Fatalf("ACL diffs = %d, want several", len(adiffs))
+	}
+	areused := NewACLLocalizer(penc, a.Cisco, a.Juniper)
+	for i, d := range adiffs {
+		got := areused.Localize(d.Inputs)
+		want := NewACLLocalizer(penc, a.Cisco, a.Juniper).Localize(d.Inputs)
+		if !reflect.DeepEqual(got.SrcTerms, want.SrcTerms) || got.SrcExact != want.SrcExact ||
+			!reflect.DeepEqual(got.DstTerms, want.DstTerms) || got.DstExact != want.DstExact {
+			t.Errorf("ACL diff %d: reused src %v dst %v, fresh src %v dst %v", i, got.SrcTerms, got.DstTerms, want.SrcTerms, want.DstTerms)
+		}
 	}
 }

@@ -132,11 +132,13 @@ func (j *Journal) Emit(e Event) {
 	if j == nil {
 		return
 	}
-	now := time.Since(j.t0)
 	j.mu.Lock()
+	// The clock is read under the lock: sampled before it, a goroutine
+	// preempted between the read and the lock would take a later Seq
+	// with an earlier T.
 	j.seq++
 	e.Seq = j.seq
-	e.T = int64(now)
+	e.T = int64(time.Since(j.t0))
 	if j.w != nil {
 		// One marshal + one write per event: each line hits the file
 		// before Emit returns, so a crash loses at most the event in
