@@ -11,6 +11,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/campion"
 	"repro/internal/aclgen"
@@ -487,6 +488,51 @@ func BenchmarkDDNFBuild(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(ranges)), "ranges/op")
 			b.ReportMetric(float64(nodes), "nodes/op")
+		})
+	}
+}
+
+// BenchmarkE2ERouteMap times route maps end to end at 1k, 3k and 10k
+// clauses: generated Cisco and JunOS text (5 injected differences) →
+// campion.Parse → Diff (2 workers) → rendered report. It reports the
+// parse and diff shares of each operation beside the total; both must
+// stay near-linear for the 10k tier to stay within 2× of the kernel-only
+// BenchmarkSemanticDiffRouteMap10000.
+func BenchmarkE2ERouteMap(b *testing.B) {
+	for _, size := range []struct {
+		name    string
+		clauses int
+	}{{"1k", 1000}, {"3k", 3000}, {"10k", 10000}} {
+		b.Run(size.name, func(b *testing.B) {
+			pair := policygen.Generate(policygen.Params{Seed: 1, Clauses: size.clauses, Differences: 5})
+			var parse, diff time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				c1, err := campion.Parse("a.cfg", pair.CiscoText)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c2, err := campion.Parse("b.conf", pair.JuniperText)
+				if err != nil {
+					b.Fatal(err)
+				}
+				parsed := time.Now()
+				rep, err := campion.Diff(c1, c2, campion.Options{Workers: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				parse += parsed.Sub(start)
+				diff += time.Since(parsed)
+				if err := campion.Write(io.Discard, rep); err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.RouteMapDiffs) == 0 {
+					b.Fatal("no route-map differences found")
+				}
+			}
+			b.ReportMetric(float64(parse.Nanoseconds())/float64(b.N), "parse-ns/op")
+			b.ReportMetric(float64(diff.Nanoseconds())/float64(b.N), "diff-ns/op")
 		})
 	}
 }

@@ -24,7 +24,7 @@ func (p *parser) parseNumberedACL(line string, f []string) {
 		return
 	}
 	acl := p.getACL(f[1])
-	acl.Span = acl.Span.Merge(p.span(line))
+	acl.Span.Extend(p.span(line))
 	var rule *ir.ACLLine
 	if num < 100 {
 		rule = p.parseStandardACLRule(f[2:])
@@ -70,7 +70,7 @@ func (p *parser) parseACLBodyLine(line string, f []string) {
 	rule.Seq = seq
 	rule.Span = p.span(line)
 	p.curACL.Lines = append(p.curACL.Lines, rule)
-	p.curACL.Span = p.curACL.Span.Merge(rule.Span)
+	p.curACL.Span.Extend(rule.Span)
 }
 
 // parseStandardACLRule parses "permit|deny SRC [WILD]" (standard lists

@@ -188,7 +188,7 @@ func (p *parser) parseIPCommand(line string, f []string) bool {
 		// ip access-list extended NAME / standard NAME
 		if len(f) >= 4 {
 			p.curACL = p.getACL(f[3])
-			p.curACL.Span = p.curACL.Span.Merge(p.span(line))
+			p.curACL.Span.Extend(p.span(line))
 			p.mode = modeACL
 			return true
 		}
@@ -336,7 +336,7 @@ func (p *parser) parsePrefixList(line string, f []string) {
 		Span:   p.span(line),
 	}
 	pl.Entries = append(pl.Entries, entry)
-	pl.Span = pl.Span.Merge(entry.Span)
+	pl.Span.Extend(entry.Span)
 }
 
 // parseCommunityList parses standard and expanded community lists.
@@ -387,7 +387,7 @@ func (p *parser) parseCommunityList(line string, f []string) {
 		return
 	}
 	cl.Entries = append(cl.Entries, entry)
-	cl.Span = cl.Span.Merge(entry.Span)
+	cl.Span.Extend(entry.Span)
 }
 
 // parseASPathList parses: ip as-path access-list NAME|NUM permit|deny REGEX
@@ -414,7 +414,7 @@ func (p *parser) parseASPathList(line string, f []string) {
 	}
 	entry := ir.ASPathListEntry{Action: action, Regex: strings.Join(f[5:], " "), Span: p.span(line)}
 	al.Entries = append(al.Entries, entry)
-	al.Span = al.Span.Merge(entry.Span)
+	al.Span.Extend(entry.Span)
 }
 
 func (p *parser) parseInterfaceLine(line string, f []string) {
@@ -423,7 +423,7 @@ func (p *parser) parseInterfaceLine(line string, f []string) {
 		return
 	}
 	ifc := p.curIface
-	ifc.Span = ifc.Span.Merge(p.span(line))
+	ifc.Span.Extend(p.span(line))
 	switch {
 	case f[0] == "description":
 		ifc.Description = strings.TrimSpace(strings.TrimPrefix(line, "description"))
@@ -483,7 +483,7 @@ func (p *parser) enterRouteMapClause(line string, f []string) {
 	p.curMap = rm
 	p.curClause = &ir.RouteMapClause{Seq: seq, Action: action, Span: p.span(line)}
 	rm.Clauses = append(rm.Clauses, p.curClause)
-	rm.Span = rm.Span.Merge(p.curClause.Span)
+	rm.Span.Extend(p.curClause.Span)
 	p.mode = modeRouteMapClause
 }
 
@@ -493,8 +493,8 @@ func (p *parser) parseRouteMapLine(line string, f []string) {
 		return
 	}
 	cl := p.curClause
-	cl.Span = cl.Span.Merge(p.span(line))
-	p.curMap.Span = p.curMap.Span.Merge(p.span(line))
+	cl.Span.Extend(p.span(line))
+	p.curMap.Span.Extend(p.span(line))
 	switch f[0] {
 	case "match":
 		p.parseRouteMapMatch(line, f, cl)
@@ -650,7 +650,7 @@ func (p *parser) parseBGPLine(line string, f []string) {
 		p.unrecognized(line)
 		return
 	}
-	bgp.Span = bgp.Span.Merge(p.span(line))
+	bgp.Span.Extend(p.span(line))
 	switch f[0] {
 	case "bgp":
 		if len(f) >= 3 && f[1] == "router-id" {
@@ -701,7 +701,7 @@ func (p *parser) parseBGPNeighbor(line string, f []string, bgp *ir.BGPConfig) {
 		n = &ir.BGPNeighbor{Addr: addr}
 		bgp.Neighbors[key] = n
 	}
-	n.Span = n.Span.Merge(p.span(line))
+	n.Span.Extend(p.span(line))
 	switch f[2] {
 	case "remote-as":
 		if len(f) >= 4 {
@@ -801,7 +801,7 @@ func (p *parser) parseOSPFLine(line string, f []string) {
 		p.unrecognized(line)
 		return
 	}
-	ospf.Span = ospf.Span.Merge(p.span(line))
+	ospf.Span.Extend(p.span(line))
 	switch f[0] {
 	case "router-id":
 		if len(f) >= 2 {

@@ -438,3 +438,72 @@ func TestStandardNamedACLBody(t *testing.T) {
 		t.Error("second line deny")
 	}
 }
+
+// TestScatteredDefinitionSpans: route maps reopened later in the file,
+// clauses of two maps interleaved with `!` lines, and prefix-list and
+// ACL entries scattered between them. Every element's span must list
+// exactly its own lines, in file order, and cover first to last line —
+// what merging the per-line spans one by one produces.
+func TestScatteredDefinitionSpans(t *testing.T) {
+	text := `ip prefix-list A permit 10.0.0.0/8 le 24
+!
+route-map M permit 10
+ match ip address prefix-list A
+!
+ip prefix-list B permit 20.0.0.0/8
+route-map N deny 5
+ set local-preference 50
+ip prefix-list A deny 10.1.0.0/16
+route-map M deny 20
+ match ip address prefix-list B
+ set metric 7
+!
+ip access-list extended E
+ permit tcp any any eq 80
+!
+route-map N permit 15
+route-map M permit 30
+ set local-preference 300
+ip prefix-list A permit 10.2.0.0/16 ge 24
+ip access-list extended E
+ deny ip any any
+router bgp 65001
+ neighbor 10.0.0.2 remote-as 65002
+ neighbor 10.0.0.2 route-map M in
+`
+	cfg, err := Parse("t.cfg", text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfg.Unrecognized) != 0 {
+		t.Fatalf("unrecognized: %v", cfg.Unrecognized)
+	}
+	lines := strings.Split(text, "\n")
+	want := func(nums ...int) ir.TextSpan {
+		var sp ir.TextSpan
+		for _, n := range nums {
+			sp = sp.Merge(ir.TextSpan{File: "t.cfg", StartLine: n, EndLine: n, Lines: []string{strings.TrimSpace(lines[n-1])}})
+		}
+		return sp
+	}
+	m, n := cfg.RouteMaps["M"], cfg.RouteMaps["N"]
+	for _, c := range []struct {
+		name string
+		got  ir.TextSpan
+		want ir.TextSpan
+	}{
+		{"route-map M", m.Span, want(3, 4, 10, 11, 12, 18, 19)},
+		{"route-map M seq 20", m.Clauses[1].Span, want(10, 11, 12)},
+		{"route-map M seq 30", m.Clauses[2].Span, want(18, 19)},
+		{"route-map N", n.Span, want(7, 8, 17)},
+		{"prefix-list A", cfg.PrefixLists["A"].Span, want(1, 9, 20)},
+		{"prefix-list B", cfg.PrefixLists["B"].Span, want(6)},
+		{"acl E", cfg.ACLs["E"].Span, want(14, 15, 21, 22)},
+		{"bgp", cfg.BGP.Span, want(23, 24, 25)},
+		{"neighbor", cfg.BGP.Neighbors["10.0.0.2"].Span, want(24, 25)},
+	} {
+		if c.got.Text() != c.want.Text() || c.got.Location() != c.want.Location() {
+			t.Errorf("%s: %s %q, want %s %q", c.name, c.got.Location(), c.got.Text(), c.want.Location(), c.want.Text())
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/cisco"
+	"repro/internal/ir"
 	"repro/internal/obs"
 )
 
@@ -144,12 +147,31 @@ func TestPolicyCacheStatsDelta(t *testing.T) {
 		t.Error("second call recorded no policy-cache hits")
 	}
 
-	// A different pair forces an encoding rebuild, which Resets the
-	// factory; the delta must not go negative.
-	c3, c4 := syntheticFleetPair(t, 2, 1)
-	third, err := Diff(c3, c4, opts)
+	// A pair matching on a community has another vocabulary fingerprint,
+	// which forces an encoding rebuild that Resets the factory; the delta
+	// must not go negative.
+	pair := func(pref int) *ir.Config {
+		c, err := cisco.Parse("r.cfg", fmt.Sprintf(`ip community-list standard C permit 65000:1
+route-map POL0 permit 10
+ match community C
+ set local-preference %d
+route-map POL0 deny 20
+router bgp 65001
+ neighbor 10.200.1.2 remote-as 65002
+ neighbor 10.200.1.2 route-map POL0 in
+`, pref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	rebuilds := pc.Rebuilds
+	third, err := Diff(pair(100), pair(200), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pc.Rebuilds != rebuilds+1 {
+		t.Errorf("policy cache rebuilt %d times for a new vocabulary, want 1", pc.Rebuilds-rebuilds)
 	}
 	if st3 := third.Stats[0]; st3.BDDNodes <= 0 {
 		t.Errorf("post-rebuild call charged %d nodes, want > 0", st3.BDDNodes)

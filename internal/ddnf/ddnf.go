@@ -12,9 +12,12 @@
 // most 33 prefixes above it, near-linear in the number of labels instead
 // of cubic (the pairwise definition survives as the tests' reference
 // oracle). A Matcher caches each node's BDDs across GetMatch calls and
-// walks each node once per call; its cached nodes share the lifetime of
-// the SetOps' Universe, so no bdd.Factory GC or Reset may run while a
-// Matcher is in use.
+// descends only below nodes whose range meets the queried set, visiting
+// each node at most once per call, so a query touching a few prefixes
+// costs about the depth of their trie paths rather than the size of the
+// DAG. Its cached
+// nodes share the lifetime of the SetOps' Universe, so no bdd.Factory GC
+// or Reset may run while a Matcher is in use.
 package ddnf
 
 import (
@@ -239,18 +242,21 @@ type SetOps struct {
 }
 
 // Matcher answers GetMatch queries over one DAG and one SetOps. It
-// caches every node's range∧Universe BDD and its remainder BDD (the
-// range minus its children) across calls, and within one call it
-// answers each (set, node) visit once, so a node reachable through
-// several parents is walked once. The cached nodes live as long as
-// o.Universe does: like any holder of Universe, the Matcher is invalid
-// after a bdd.Factory GC or Reset.
+// caches each node's range∧Universe BDD and, for non-leaf nodes, its
+// remainder BDD (the range minus its children) across calls. A call
+// descends only below nodes whose range meets the set: below a range
+// disjoint from S every range is disjoint from S too, so no term can
+// come from there. Remainders are built on the first visit that needs
+// one, and within one call each (set, node) visit is answered once, so
+// a node reachable through several parents is walked once. The cached
+// nodes live as long as o.Universe does: like any holder of Universe,
+// the Matcher is invalid after a bdd.Factory GC or Reset.
 type Matcher struct {
-	d        *DAG
-	o        SetOps
-	rng, rem []bdd.Node
-	cached   []bool
-	memo     map[visit][]Term // per GetMatch call
+	d                *DAG
+	o                SetOps
+	rng, rem         []bdd.Node
+	haveRng, haveRem []bool
+	memo             map[visit][]Term // per GetMatch call
 }
 
 type visit struct {
@@ -260,29 +266,37 @@ type visit struct {
 
 // NewMatcher prepares GetMatch queries over d with the semantics o.
 func (d *DAG) NewMatcher(o SetOps) *Matcher {
+	n := len(d.Nodes)
 	return &Matcher{
-		d:      d,
-		o:      o,
-		rng:    make([]bdd.Node, len(d.Nodes)),
-		rem:    make([]bdd.Node, len(d.Nodes)),
-		cached: make([]bool, len(d.Nodes)),
+		d:       d,
+		o:       o,
+		rng:     make([]bdd.Node, n),
+		rem:     make([]bdd.Node, n),
+		haveRng: make([]bool, n),
+		haveRem: make([]bool, n),
 	}
 }
 
-// sets returns node's range∧Universe and remainder∧Universe BDDs.
-func (m *Matcher) sets(n *Node) (rng, rem bdd.Node) {
-	if !m.cached[n.id] {
-		f := m.o.F
-		r := m.o.RangeBDD(n.Range)
-		rm := r
-		for _, c := range n.Children {
-			rm = f.Diff(rm, m.o.RangeBDD(c.Range))
-		}
-		m.rng[n.id] = f.And(r, m.o.Universe)
-		m.rem[n.id] = f.And(rm, m.o.Universe)
-		m.cached[n.id] = true
+// rangeSet returns node's range∧Universe.
+func (m *Matcher) rangeSet(n *Node) bdd.Node {
+	if !m.haveRng[n.id] {
+		m.rng[n.id] = m.o.F.And(m.o.RangeBDD(n.Range), m.o.Universe)
+		m.haveRng[n.id] = true
 	}
-	return m.rng[n.id], m.rem[n.id]
+	return m.rng[n.id]
+}
+
+// remainder returns node's range minus its children, ∧Universe.
+func (m *Matcher) remainder(n *Node) bdd.Node {
+	if !m.haveRem[n.id] {
+		rem := m.rangeSet(n)
+		for _, c := range n.Children {
+			rem = m.o.F.Diff(rem, m.rangeSet(c))
+		}
+		m.rem[n.id] = rem
+		m.haveRem[n.id] = true
+	}
+	return m.rem[n.id]
 }
 
 // GetMatch expresses S (a BDD subset of the universe) in terms of the
@@ -318,22 +332,28 @@ func (m *Matcher) getMatch(s bdd.Node, node *Node) []Term {
 	if ts, ok := m.memo[v]; ok {
 		return ts
 	}
-	o := m.o
-	r, rem := m.sets(node)
+	f := m.o.F
+	r := m.rangeSet(node)
 	var out []Term
 	switch {
 	case len(node.Children) == 0:
-		if r != bdd.False && o.F.Implies(r, s) {
+		if r != bdd.False && f.Implies(r, s) {
 			out = []Term{{Include: node.Range}}
 		}
-	case rem != bdd.False && o.F.Implies(rem, s):
-		notS := o.F.And(o.F.Not(s), o.Universe)
-		var nonmatches []Term
-		for _, c := range node.Children {
-			nonmatches = append(nonmatches, m.getMatch(notS, c)...)
-		}
-		out = []Term{{Include: node.Range, Exclude: dedupeTerms(nonmatches)}}
+	case f.And(r, s) == bdd.False:
+		// Every descendant's range lies inside r, so neither the leaf
+		// test nor the remainder test can succeed anywhere below. (A
+		// leaf needs no such test: its own test is one operation.)
 	default:
+		if rem := m.remainder(node); rem != bdd.False && f.Implies(rem, s) {
+			notS := f.And(f.Not(s), m.o.Universe)
+			var nonmatches []Term
+			for _, c := range node.Children {
+				nonmatches = append(nonmatches, m.getMatch(notS, c)...)
+			}
+			out = []Term{{Include: node.Range, Exclude: dedupeTerms(nonmatches)}}
+			break
+		}
 		for _, c := range node.Children {
 			out = append(out, m.getMatch(s, c)...)
 		}

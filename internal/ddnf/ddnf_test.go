@@ -486,8 +486,9 @@ func FuzzBuild(f *testing.F) {
 	})
 }
 
-// getMatchReference is GetMatch without the Matcher's caches: every
-// visit rebuilds its sets and a shared node is walked once per path.
+// getMatchReference is GetMatch without the Matcher's caches or its
+// pruning: it walks the whole DAG, every visit rebuilds its sets, and a
+// shared node is walked once per path.
 func getMatchReference(o SetOps, s bdd.Node, node *Node) []Term {
 	r := o.F.And(o.RangeBDD(node.Range), o.Universe)
 	if len(node.Children) == 0 {
@@ -517,27 +518,36 @@ func getMatchReference(o SetOps, s bdd.Node, node *Node) []Term {
 }
 
 // TestMatcherMatchesReference checks one Matcher, reused across queries,
-// against the uncached recursion on random DAGs and random sets built
-// from the DAG's own ranges (plus a stray /32 for inexact cases).
+// against the full uncached walk on random DAGs and random sets: unions
+// and differences of the DAG's own ranges (exact), their complements,
+// and stray /32s or ranges outside the vocabulary (often inexact). The
+// terms must be identical, in order, and so must the exactness verdict.
 func TestMatcherMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	enc := symbolic.NewRouteEncoding()
 	o := routeOps(enc)
-	for i := 0; i < 60; i++ {
+	exacts := map[bool]int{}
+	for i := 0; i < 120; i++ {
 		d := Build(randomRanges(rng))
 		m := d.NewMatcher(o)
-		for q := 0; q < 4; q++ {
+		for q := 0; q < 6; q++ {
 			s := bdd.False
 			for k := 0; k < 1+rng.Intn(4); k++ {
 				a := o.RangeBDD(d.Nodes[rng.Intn(len(d.Nodes))].Range)
 				b := o.RangeBDD(d.Nodes[rng.Intn(len(d.Nodes))].Range)
-				switch rng.Intn(3) {
+				switch rng.Intn(5) {
 				case 0:
 					s = o.F.Or(s, a)
 				case 1:
 					s = o.F.Or(s, o.F.Diff(a, b))
-				default:
+				case 2:
+					s = o.F.Or(s, o.F.Not(a))
+				case 3:
 					s = o.F.Or(s, enc.PrefixBDD(netaddr.NewPrefix(netaddr.Addr(rng.Uint32()), 32)))
+				default:
+					lo := uint8(rng.Intn(33))
+					p := netaddr.NewPrefix(netaddr.Addr(rng.Uint32()), uint8(rng.Intn(int(lo)+1)))
+					s = o.F.Or(s, o.RangeBDD(netaddr.PrefixRange{Prefix: p, Lo: lo, Hi: lo + uint8(rng.Intn(33-int(lo)))}))
 				}
 			}
 			got, exact := m.GetMatch(s)
@@ -558,6 +568,11 @@ func TestMatcherMatchesReference(t *testing.T) {
 			if exact != (union == s) {
 				t.Fatalf("dag %d query %d: exact = %v", i, q, exact)
 			}
+			exacts[exact]++
 		}
 	}
+	if exacts[true] == 0 || exacts[false] == 0 {
+		t.Errorf("queries did not cover both verdicts: %v", exacts)
+	}
+	t.Logf("exact/inexact queries: %d/%d", exacts[true], exacts[false])
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/juniper"
 	"repro/internal/netaddr"
 	"repro/internal/policygen"
+	"repro/internal/symbolic"
 )
 
 // TestBuildMatchesReferenceGenerated checks Build against the pairwise
@@ -54,4 +55,40 @@ func TestBuildMatchesReferenceGenerated(t *testing.T) {
 	if diff := ddnf.DAGDiff(got, ddnf.BuildReference(ranges)); diff != "" {
 		t.Fatalf("aclgen destinations: %s", diff)
 	}
+}
+
+// TestGetMatchVisitsOnlyMeetingNodes: on the rm1k vocabulary (a
+// 1000-clause policygen pair, 5725 DAG nodes), a query for a single
+// prefix — a /32 inside a vocabulary prefix, or the prefix itself —
+// builds remainders only along the query's trie path (plus the ¬S walk
+// under an included node): O(trie depth), not every node in the DAG.
+func TestGetMatchVisitsOnlyMeetingNodes(t *testing.T) {
+	p := policygen.Generate(policygen.Params{Seed: 1, Clauses: 1000})
+	c, err := cisco.Parse("c.cfg", p.CiscoText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := juniper.Parse("j.cfg", p.JuniperText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := append(headerloc.ConfigPrefixRanges(c), headerloc.ConfigPrefixRanges(j)...)
+	d := ddnf.Build(ranges)
+	enc := symbolic.NewRouteEncoding(c, j)
+	o := ddnf.SetOps{F: enc.F, RangeBDD: enc.PrefixRangeBDD, Universe: enc.WellFormed}
+	const bound = 2 * 33 // twice the depth of the prefix trie
+	most := 0
+	for i := 0; i < len(ranges); i += 40 {
+		r := ranges[i]
+		for _, q := range []netaddr.Prefix{netaddr.NewPrefix(r.Prefix.Addr+1, 32), r.Prefix} {
+			m := d.NewMatcher(o)
+			m.GetMatch(enc.PrefixBDD(q))
+			built := m.RemaindersBuilt()
+			if built > bound {
+				t.Errorf("query %v built %d remainders of %d nodes, want ≤ %d", q, built, len(d.Nodes), bound)
+			}
+			most = max(most, built)
+		}
+	}
+	t.Logf("%d DAG nodes; at most %d remainders built per single-prefix query", len(d.Nodes), most)
 }

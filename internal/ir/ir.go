@@ -69,7 +69,32 @@ func (s TextSpan) IsZero() bool {
 	return s.File == "" && s.StartLine == 0 && len(s.Lines) == 0
 }
 
-// Merge extends s to cover t as well (same file assumed).
+// Extend grows s in place to cover t as well (same file assumed),
+// appending t's lines to s's in amortized O(1) per line. It is the
+// parsers' span builder, under one ownership rule: only the parser
+// building an IR element may Extend that element's span, and a plain
+// copy of a span is never Extended alongside the original (two holders
+// appending to one backing array would overwrite each other). When s is
+// zero it adopts t with Lines clipped to their length, so s's later
+// appends reallocate instead of writing into a backing array that t
+// still owns.
+func (s *TextSpan) Extend(t TextSpan) {
+	if s.IsZero() {
+		*s = t
+		s.Lines = t.Lines[:len(t.Lines):len(t.Lines)]
+		return
+	}
+	if t.IsZero() {
+		return
+	}
+	s.StartLine = min(s.StartLine, t.StartLine)
+	s.EndLine = max(s.EndLine, t.EndLine)
+	s.Lines = append(s.Lines, t.Lines...)
+}
+
+// Merge returns a span covering s and t (same file assumed) and never
+// writes to either side's lines. Code running after parsing, which does
+// not own the spans it combines, uses Merge rather than Extend.
 func (s TextSpan) Merge(t TextSpan) TextSpan {
 	if s.IsZero() {
 		return t

@@ -34,6 +34,45 @@ func TestTextSpan(t *testing.T) {
 	}
 }
 
+// TestTextSpanExtend: Extend builds the same span as a chain of Merges,
+// and never aliases. A span adopted from a donor with spare capacity is
+// extended, then a plain copy of the donor is extended into that same
+// spare capacity; neither write may show through the other side.
+func TestTextSpanExtend(t *testing.T) {
+	line := func(n int, text string) TextSpan {
+		return TextSpan{File: "r.cfg", StartLine: n, EndLine: n, Lines: []string{text}}
+	}
+	var ext, merged TextSpan
+	for _, sp := range []TextSpan{{}, line(4, "d"), line(2, "b"), {}, line(9, "i")} {
+		ext.Extend(sp)
+		merged = merged.Merge(sp)
+	}
+	if ext.Text() != merged.Text() || ext.Location() != merged.Location() || ext.Location() != "r.cfg:2-9" {
+		t.Errorf("Extend = %q at %s, Merge = %q at %s", ext.Text(), ext.Location(), merged.Text(), merged.Location())
+	}
+
+	donor := TextSpan{File: "r.cfg", StartLine: 1, EndLine: 1, Lines: make([]string, 1, 8)}
+	donor.Lines[0] = "a"
+	var adopter TextSpan
+	adopter.Extend(donor)
+	adopter.Extend(line(2, "b"))
+	cp := donor
+	cp.Extend(line(3, "c"))
+	if got := donor.Text(); got != "a" {
+		t.Errorf("donor = %q, want %q", got, "a")
+	}
+	if got := adopter.Text(); got != "a\nb" {
+		t.Errorf("adopter = %q, want %q", got, "a\nb")
+	}
+	if got := cp.Text(); got != "a\nc" {
+		t.Errorf("extended copy = %q, want %q", got, "a\nc")
+	}
+	adopter.Extend(line(5, "e"))
+	if got := cp.Text(); got != "a\nc" {
+		t.Errorf("extended copy after adopter grew = %q, want %q", got, "a\nc")
+	}
+}
+
 func TestPrefixListMatches(t *testing.T) {
 	pl := &PrefixList{
 		Name: "NETS",

@@ -706,7 +706,7 @@ func (w *walker) bgp(s *stmt) {
 		w.cfg.BGP = ir.NewBGPConfig(0)
 	}
 	b := w.cfg.BGP
-	b.Span = b.Span.Merge(w.span(s))
+	b.Span.Extend(w.span(s))
 	for _, g := range s.children {
 		switch g.word(0) {
 		case "group":
@@ -760,7 +760,7 @@ func (w *walker) bgpGroup(g *stmt, b *ir.BGPConfig) {
 			n = &ir.BGPNeighbor{Addr: addr}
 			b.Neighbors[addr.String()] = n
 		}
-		n.Span = n.Span.Merge(w.span(c))
+		n.Span.Extend(w.span(c))
 		n.RemoteAS = groupPeerAS
 		if ibgp && n.RemoteAS == 0 {
 			n.RemoteAS = b.ASN
@@ -800,7 +800,7 @@ func (w *walker) ospf(s *stmt) {
 		w.cfg.OSPF = ir.NewOSPFConfig(0)
 	}
 	o := w.cfg.OSPF
-	o.Span = o.Span.Merge(w.span(s))
+	o.Span.Extend(w.span(s))
 	for _, c := range s.children {
 		switch c.word(0) {
 		case "area":
