@@ -319,12 +319,13 @@ func BenchmarkMinesweeperEnumeration(b *testing.B) {
 }
 
 // benchACLDiff is the §5.4 scalability harness: generated
-// nearly-equivalent ACL pairs with 10 injected differences.
+// nearly-equivalent ACL pairs with 10 injected differences, diffed on
+// the pair-ordered packet encoding the engine uses.
 func benchACLDiff(b *testing.B, rules int) {
 	pair := aclgen.Generate(aclgen.Params{Seed: 1, Rules: rules, Differences: 10})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := symbolic.NewPacketEncoding()
+		enc := symbolic.NewPacketEncoding(pair.Cisco, pair.Juniper)
 		diffs := semdiff.DiffACLs(enc, pair.Cisco, pair.Juniper)
 		if len(diffs) == 0 {
 			b.Fatal("expected diffs")
@@ -529,6 +530,57 @@ func BenchmarkE2ERouteMap(b *testing.B) {
 				}
 				if len(rep.RouteMapDiffs) == 0 {
 					b.Fatal("no route-map differences found")
+				}
+			}
+			b.ReportMetric(float64(parse.Nanoseconds())/float64(b.N), "parse-ns/op")
+			b.ReportMetric(float64(diff.Nanoseconds())/float64(b.N), "diff-ns/op")
+		})
+	}
+}
+
+// BenchmarkE2EACL times ACL pairs end to end at 1k, 3k and 10k rules:
+// generated Cisco and JunOS text (10 injected differences) →
+// campion.Parse → Diff (2 workers, so the one oversized pair stripes) →
+// rendered report, reporting the parse and diff shares beside the total.
+// aclgen rules each guard their own destination /24, so the pair-ordered
+// packet encoding branches on the destination first; 3k-srckeyed is the
+// mirrored pair (sources and destinations swapped), which must lead with
+// the source and cost the same.
+func BenchmarkE2EACL(b *testing.B) {
+	for _, size := range []struct {
+		name     string
+		rules    int
+		mirrored bool
+	}{{"1k", 1000, false}, {"3k", 3000, false}, {"10k", 10000, false}, {"3k-srckeyed", 3000, true}} {
+		b.Run(size.name, func(b *testing.B) {
+			pair := aclgen.Generate(aclgen.Params{Seed: 1, Rules: size.rules, Differences: 10})
+			if size.mirrored {
+				pair = pair.Mirror()
+			}
+			var parse, diff time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				c1, err := campion.Parse("a.cfg", pair.CiscoText)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c2, err := campion.Parse("b.conf", pair.JuniperText)
+				if err != nil {
+					b.Fatal(err)
+				}
+				parsed := time.Now()
+				rep, err := campion.Diff(c1, c2, campion.Options{Workers: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				parse += parsed.Sub(start)
+				diff += time.Since(parsed)
+				if err := campion.Write(io.Discard, rep); err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.ACLDiffs) == 0 {
+					b.Fatal("no ACL differences found")
 				}
 			}
 			b.ReportMetric(float64(parse.Nanoseconds())/float64(b.N), "parse-ns/op")

@@ -175,6 +175,31 @@ func Generate(p Params) *Pair {
 	return pair
 }
 
+// Mirror returns the pair with every line's source and destination
+// addresses swapped (ports stay put), re-rendered in both syntaxes: the
+// source-keyed shape, where each rule guards its own source /24 and the
+// destinations reuse the pools. The differences are the same rules.
+func (p *Pair) Mirror() *Pair {
+	mirror := func(acl *ir.ACL) *ir.ACL {
+		out := &ir.ACL{Name: acl.Name, Lines: make([]*ir.ACLLine, len(acl.Lines))}
+		for i, l := range acl.Lines {
+			cp := *l
+			cp.Src, cp.Dst = l.Dst, l.Src
+			out.Lines[i] = &cp
+		}
+		return out
+	}
+	m := &Pair{
+		Name:     p.Name,
+		Cisco:    mirror(p.Cisco),
+		Juniper:  mirror(p.Juniper),
+		Injected: p.Injected,
+	}
+	m.CiscoText = RenderCisco(m.Cisco)
+	m.JuniperText = RenderJuniper(m.Juniper)
+	return m
+}
+
 // RenderCisco unparses an ACL into IOS "ip access-list extended" syntax.
 func RenderCisco(acl *ir.ACL) string {
 	var b strings.Builder

@@ -110,3 +110,23 @@ func TestDefaultParams(t *testing.T) {
 		t.Errorf("default rules = %d", len(pair.Cisco.Lines))
 	}
 }
+
+// TestMirror: mirroring swaps every line's source and destination and
+// nothing else, so mirroring twice renders the original text, and the
+// mirrored pair still carries its injected differences.
+func TestMirror(t *testing.T) {
+	pair := Generate(Params{Seed: 9, Rules: 60, Differences: 4})
+	m := pair.Mirror()
+	for i, l := range pair.Cisco.Lines {
+		ml := m.Cisco.Lines[i]
+		if len(ml.Src) != len(l.Dst) || len(ml.Dst) != len(l.Src) || ml.Action != l.Action {
+			t.Fatalf("line %d not mirrored: %+v vs %+v", i, ml, l)
+		}
+	}
+	if back := m.Mirror(); back.CiscoText != pair.CiscoText || back.JuniperText != pair.JuniperText {
+		t.Error("mirroring twice must render the original pair")
+	}
+	if semdiff.EquivalentACLs(symbolic.NewPacketEncoding(), m.Cisco, m.Juniper) {
+		t.Error("the mirrored pair lost its injected differences")
+	}
+}

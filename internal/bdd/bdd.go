@@ -966,9 +966,12 @@ type Assignment []int8
 
 // AnySat returns one satisfying partial assignment of n, or nil if n is
 // unsatisfiable. Unmentioned variables are -1 (don't care). The witness
-// is canonical across variable orders: it reads as the lexicographically
-// least satisfying input by variable index (don't-cares as false), so
-// reordering a factory never changes witness-derived output.
+// is canonical across variable orders: its fixed values read as the
+// lexicographically least satisfying input by variable index
+// (don't-cares as false), and its don't-cares are exactly the variables
+// the identity-order descent never visits, so reordering a factory
+// changes neither the values nor the count of constrained variables in
+// witness-derived output.
 func (f *Factory) AnySat(n Node) Assignment {
 	if n == False {
 		return nil

@@ -82,11 +82,14 @@ func (f *Factory) varAtLevel(l int32) int32 {
 
 // anySatOrdered is the permutation-aware AnySat: the greedy low-first
 // descent of the fast path enumerates variables in *level* order, so its
-// witness would change whenever the order does. This variant fixes each
-// support variable in increasing variable-index order, preferring false,
-// which yields exactly the same assignment the descent produces under
-// the identity order (the lexicographically least satisfying input, with
-// don't-cares reading as false) — so reports built from witnesses are
+// witness would change whenever the order does. This variant walks the
+// support in increasing variable-index order, mirroring what the
+// identity-order descent does: it stops once the residual function is
+// True, skips every variable the residual no longer depends on
+// (lo == hi), and otherwise prefers false. Skipped variables stay -1
+// exactly as they do on the descent's path, so the witness is the same
+// assignment — values and don't-cares — under every order, and reports
+// built from witnesses (including their constrained-variable counts) are
 // byte-identical across variable orders.
 func (f *Factory) anySatOrdered(n Node) Assignment {
 	a := make(Assignment, f.numVars)
@@ -95,17 +98,21 @@ func (f *Factory) anySatOrdered(n Node) Assignment {
 	}
 	cur := n
 	for _, v := range f.Support(n) {
-		if cur <= True {
-			a[v] = 0
-			continue
+		if cur == True {
+			break
 		}
 		lo := f.Restrict(cur, v, false)
-		if lo != False {
+		hi := f.Restrict(cur, v, true)
+		switch {
+		case lo == hi:
+			// The residual does not depend on v: a don't-care, as on
+			// the identity descent, which never visits it.
+		case lo != False:
 			a[v] = 0
 			cur = lo
-		} else {
+		default:
 			a[v] = 1
-			cur = f.Restrict(cur, v, true)
+			cur = hi
 		}
 	}
 	return a

@@ -52,4 +52,8 @@ func main() {
 	write("genpol-seed11", gp.CiscoText, gp.JuniperText)
 	ga := aclgen.Generate(aclgen.Params{Seed: 5, Rules: 10, Pools: 4, Differences: 2})
 	write("genacl-seed5", ga.CiscoText, ga.JuniperText)
+	// The source-keyed mirror: each rule guards its own source, so the
+	// pair-ordered packet encoding leads with the other address field.
+	gm := ga.Mirror()
+	write("genacl-seed5-srckeyed", gm.CiscoText, gm.JuniperText)
 }

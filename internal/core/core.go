@@ -858,6 +858,18 @@ func diffACLs(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Options,
 						perErr[i] = &PairError{Pair: "acl " + name, Kind: ErrCanceled, Err: err}
 						return
 					}
+					if acl1.SameLines(acl2) {
+						// Nothing can differ. Skipping here also skips the
+						// pair's packet-order scoring, which fleet audits
+						// would otherwise pay on every representative pair
+						// sharing a template ACL.
+						if asp != nil {
+							asp.SetAttrs(obs.Int("diffs", 0))
+							asp.End()
+							asp = nil
+						}
+						return
+					}
 					if stripes := opts.aclStripes(len(shared), acl1, acl2); stripes > 1 {
 						// One oversized pair with idle workers: partition it
 						// across source-address regions instead of leaving
@@ -883,7 +895,7 @@ func diffACLs(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Options,
 					if f == nil {
 						f = newArmedFactory(ctx, opts)
 					}
-					enc := symbolic.NewPacketEncodingInto(f)
+					enc := symbolic.NewPacketEncodingInto(f, acl1, acl2)
 					f = enc.F
 					diffs := semdiff.DiffACLs(enc, acl1, acl2)
 					if len(diffs) > 0 {

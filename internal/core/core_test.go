@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cisco"
+	"repro/internal/ir"
 	"repro/internal/juniper"
 )
 
@@ -453,5 +454,45 @@ protocols {
 	}
 	if !found {
 		t.Errorf("ospf redistribution diff missing; pairs: %+v", MatchPolicies(c, j))
+	}
+}
+
+// TestIdenticalACLsSkipEncoding: a pair whose ACLs list the same lines
+// (renumbered here) reports nothing without building a packet encoding,
+// while a single flipped action still goes through the full diff.
+func TestIdenticalACLsSkipEncoding(t *testing.T) {
+	c1, _ := genACLConfigs(t, 4, 40)
+	copyACL := func() *ir.ACL {
+		acl := &ir.ACL{Name: "BIG"}
+		for _, l := range c1.ACLs["BIG"].Lines {
+			cp := *l
+			cp.Seq += 1000
+			acl.Lines = append(acl.Lines, &cp)
+		}
+		return acl
+	}
+	same := &ir.Config{Hostname: "r2", ACLs: map[string]*ir.ACL{"BIG": copyACL()}}
+	opts := Options{Workers: 1, Components: []Component{ComponentACLs}}
+	rep, err := Diff(c1, same, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.ACLDiffs) != 0 || rep.Stats[0].BDDNodes != 0 {
+		t.Errorf("identical lines: %d diffs, %d BDD nodes; want none of either",
+			len(rep.ACLDiffs), rep.Stats[0].BDDNodes)
+	}
+	flipped := copyACL()
+	if flipped.Lines[0].Action == ir.Permit {
+		flipped.Lines[0].Action = ir.Deny
+	} else {
+		flipped.Lines[0].Action = ir.Permit
+	}
+	rep, err = Diff(c1, &ir.Config{Hostname: "r2", ACLs: map[string]*ir.ACL{"BIG": flipped}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.ACLDiffs) == 0 || rep.Stats[0].BDDNodes == 0 {
+		t.Errorf("flipped first line: %d diffs, %d BDD nodes; want both non-zero",
+			len(rep.ACLDiffs), rep.Stats[0].BDDNodes)
 	}
 }

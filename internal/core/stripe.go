@@ -348,9 +348,12 @@ type aclStripeResult struct {
 // factory. Returns the pair's localized diffs and the BDD work summed
 // over every factory used.
 func runStripedACLPair(ctx context.Context, name string, acl1, acl2 *ir.ACL, stripes int, opts Options) (out []ACLPairDiff, work bdd.Stats, err error) {
+	// One table per pair: it fixes the signature windows and the packet
+	// level order that every stripe and the merge share (a common order
+	// keeps Transfer a node-for-node copy). Warm its memo before
+	// fan-out: LineSig caches lazily, and a fully-populated table is
+	// read-only — safe to share across stripes.
 	sigs := symbolic.NewACLSigTable(acl1, acl2)
-	// Warm the signature memo before fan-out: LineSig caches lazily, and
-	// a fully-populated table is read-only — safe to share across stripes.
 	for _, l := range acl1.Lines {
 		sigs.LineSig(l)
 	}
@@ -375,7 +378,7 @@ func runStripedACLPair(ctx context.Context, name string, acl1, acl2 *ir.ACL, str
 				res[s].err = &PairError{Pair: "acl " + name, Kind: ErrCanceled, Err: cerr}
 				return
 			}
-			enc := symbolic.NewPacketEncodingInto(newArmedFactory(ctx, opts))
+			enc := symbolic.NewPacketEncodingFor(newArmedFactory(ctx, opts), sigs)
 			res[s].enc = enc
 			enc.F.BeginWork()
 			region := enc.SrcRegionBDD(w, lo, hi)
@@ -414,7 +417,7 @@ func runStripedACLPair(ctx context.Context, name string, acl1, acl2 *ir.ACL, str
 				err = aclPairFailure(r, name, acl1)
 			}
 		}()
-		mainEnc := symbolic.NewPacketEncodingInto(newArmedFactory(ctx, opts))
+		mainEnc := symbolic.NewPacketEncodingFor(newArmedFactory(ctx, opts), sigs)
 		defer func() {
 			st := mainEnc.F.Stats()
 			work.Nodes += st.Nodes

@@ -12,13 +12,14 @@ import (
 // concrete oracle. The packet encoding is an exact bit-blast (no
 // atomization), so all properties are strict: every region witness must
 // disagree concretely, and sampled packets must disagree exactly when
-// they fall inside the reported union.
+// they fall inside the reported union. The encoding is ordered for the
+// pair, as the engine's is.
 func CheckACLs(acl1, acl2 *ir.ACL, pair string, opts Options) *Report {
 	opts = opts.withDefaults()
 	rep := &Report{maxViolations: opts.MaxViolations, ACLPairs: 1}
 	rng := opts.rng()
 
-	enc := symbolic.NewPacketEncoding()
+	enc := symbolic.NewPacketEncoding(acl1, acl2)
 	diffs := semdiff.DiffACLs(enc, acl1, acl2)
 	union := semdiff.UnionACLInputs(enc, diffs)
 
@@ -73,7 +74,7 @@ func CheckACLs(acl1, acl2 *ir.ACL, pair string, opts Options) *Report {
 func SelfCheckACL(acl *ir.ACL, pair string, opts Options) *Report {
 	opts = opts.withDefaults()
 	rep := &Report{maxViolations: opts.MaxViolations}
-	enc := symbolic.NewPacketEncoding()
+	enc := symbolic.NewPacketEncoding(acl)
 	if diffs := semdiff.DiffACLs(enc, acl, acl); len(diffs) != 0 {
 		rep.violate("self-diff", pair, "diff(A,A) reported %d regions", len(diffs))
 	}

@@ -148,3 +148,37 @@ func TestDeviceHashManyDevices(t *testing.T) {
 		}
 	}
 }
+
+// hashDstKeyedACL is an ACL whose rules each guard their own
+// destination, the shape a pair-ordered packet encoding would branch on
+// destination-first.
+const hashDstKeyedACL = `ip access-list extended SERVICES
+ 10 permit tcp 10.1.0.0 0.0.255.255 10.200.1.0 0.0.0.255 eq 443
+ 20 deny udp 10.1.0.0 0.0.255.255 10.200.2.0 0.0.0.255 eq 53
+ 30 permit tcp 10.2.0.0 0.0.255.255 10.200.3.0 0.0.0.255 range 8000 8080
+ 40 permit ip any 10.200.4.0 0.0.0.255
+ 50 deny ip any any
+!
+`
+
+// TestDeviceHashGolden pins the content address of ACL-bearing
+// configurations to fixed digests. Device hashes serialize BDD
+// structure, so the hasher must keep the identity packet order whatever
+// order the diff engine picks per pair: a changed digest here would
+// orphan every persisted -cache-dir entry without a hashVersion bump.
+func TestDeviceHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		name, text, want string
+	}{
+		{"base", hashBaseCfg, "92be202b181554de70c8c998152b14d73016a323005e4bbc723676d2240fc57c"},
+		{"dst-keyed", hashBaseCfg + hashDstKeyedACL, "a14b83bfc80ee14da05cfaa87cb300e464e8ea9b73e24c6770324df4ed7857d6"},
+	} {
+		got, fell := NewHasher().DeviceHash(parseCisco(t, "a.cfg", c.text))
+		if fell {
+			t.Fatalf("%s: unexpected intensional fallback", c.name)
+		}
+		if got != c.want {
+			t.Errorf("%s: DeviceHash = %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/netaddr"
@@ -144,6 +145,19 @@ type ACL struct {
 	Name  string
 	Lines []*ACLLine
 	Span  TextSpan
+}
+
+// SameLines reports whether a and b list the same match conditions and
+// actions in the same order. Sequence numbers and source text are
+// ignored: two ACLs with the same lines treat every packet alike, so a
+// diff of them can be skipped without building any BDD.
+func (a *ACL) SameLines(b *ACL) bool {
+	return slices.EqualFunc(a.Lines, b.Lines, func(l, m *ACLLine) bool {
+		return l.Action == m.Action && l.Protocol == m.Protocol &&
+			slices.Equal(l.Src, m.Src) && slices.Equal(l.Dst, m.Dst) &&
+			slices.Equal(l.SrcPorts, m.SrcPorts) && slices.Equal(l.DstPorts, m.DstPorts) &&
+			l.Established == m.Established && l.ICMPType == m.ICMPType
+	})
 }
 
 // Packet is a concrete packet header used by the concrete (non-symbolic)

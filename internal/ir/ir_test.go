@@ -159,6 +159,42 @@ func TestACLEstablished(t *testing.T) {
 	}
 }
 
+// TestACLSameLines: sequence numbers and source text do not make two
+// ACLs different, while any one match condition, the action or the line
+// count does.
+func TestACLSameLines(t *testing.T) {
+	mk := func() *ACL {
+		l := NewACLLine(Permit)
+		l.Protocol = ProtoNumber(ProtoNumTCP)
+		l.Src = []netaddr.Wildcard{netaddr.WildcardFromPrefix(netaddr.MustParsePrefix("10.0.0.0/8"))}
+		l.DstPorts = []netaddr.PortRange{{Lo: 443, Hi: 443}}
+		return &ACL{Name: "T", Lines: []*ACLLine{l, NewACLLine(Deny)}}
+	}
+	a := mk()
+	b := mk()
+	b.Lines[0].Seq, b.Lines[0].Span = 20, TextSpan{File: "b.cfg", StartLine: 4, EndLine: 4}
+	if !a.SameLines(b) {
+		t.Error("renumbered lines from another file must count as the same")
+	}
+	for name, edit := range map[string]func(*ACL){
+		"action":      func(c *ACL) { c.Lines[1].Action = Permit },
+		"protocol":    func(c *ACL) { c.Lines[0].Protocol = AnyProtocol },
+		"src":         func(c *ACL) { c.Lines[0].Src = nil },
+		"dst":         func(c *ACL) { c.Lines[1].Dst = c.Lines[0].Src },
+		"src ports":   func(c *ACL) { c.Lines[0].SrcPorts = c.Lines[0].DstPorts },
+		"dst ports":   func(c *ACL) { c.Lines[0].DstPorts[0].Hi = 444 },
+		"established": func(c *ACL) { c.Lines[0].Established = true },
+		"icmp type":   func(c *ACL) { c.Lines[1].ICMPType = 8 },
+		"line count":  func(c *ACL) { c.Lines = c.Lines[:1] },
+	} {
+		c := mk()
+		edit(c)
+		if a.SameLines(c) || c.SameLines(a) {
+			t.Errorf("%s: edited ACL still reads as the same", name)
+		}
+	}
+}
+
 func TestProtocolByName(t *testing.T) {
 	for name, num := range map[string]uint8{
 		"icmp": ProtoNumICMP, "tcp": ProtoNumTCP, "udp": ProtoNumUDP,

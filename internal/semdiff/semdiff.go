@@ -139,8 +139,9 @@ func DiffACLs(enc *symbolic.PacketEncoding, acl1, acl2 *ir.ACL) []ACLDiff {
 
 	// Guard signatures (symbolic.Sig): a line's class guard is a subset
 	// of its match set, so disjoint line signatures prove an empty
-	// intersection and skip the BDD work. The filter is exact.
-	sigs := symbolic.NewACLSigTable(acl1, acl2)
+	// intersection and skip the BDD work. The filter is exact. An
+	// encoding ordered for this pair already holds its table.
+	sigs := enc.SigTableFor(acl1, acl2)
 
 	// Restrict the second component's classes to the differing space once.
 	var hot2 []symbolic.ACLPath

@@ -3,6 +3,7 @@ package semdiff
 import (
 	"testing"
 
+	"repro/internal/aclgen"
 	"repro/internal/bdd"
 	"repro/internal/cisco"
 	"repro/internal/ir"
@@ -434,5 +435,42 @@ func TestACLImplicitDenyDifference(t *testing.T) {
 	}
 	if diffs[0].Inputs != bdd.True {
 		t.Error("every packet differs")
+	}
+}
+
+// TestPacketOrderSizeBound is a machine-independent bound on the ACL
+// diff's BDD work: at 3000 rules the arena of a pair-ordered encoding
+// stays within 200 nodes per rule, both on the aclgen pair (each rule
+// guards its own destination: the destination leads) and on its mirror
+// (each rule guards its own source: the source leads). A fixed
+// source-first order builds ≈890 nodes per rule on the aclgen pair,
+// because every first-match step copies a destination path under each
+// source region.
+func TestPacketOrderSizeBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3000-rule pairs")
+	}
+	const rules = 3000
+	base := aclgen.Generate(aclgen.Params{Seed: 1, Rules: rules, Differences: 10})
+	for _, c := range []struct {
+		name, lead string
+		pair       *aclgen.Pair
+	}{{"dst-keyed", "dst", base}, {"src-keyed", "src", base.Mirror()}} {
+		enc := symbolic.NewPacketEncoding(c.pair.Cisco, c.pair.Juniper)
+		lead := "src"
+		if enc.F.Order()[0] == enc.DstIPVars()[0] {
+			lead = "dst"
+		}
+		if lead != c.lead {
+			t.Errorf("%s: leading field %q, want %q", c.name, lead, c.lead)
+		}
+		if len(DiffACLs(enc, c.pair.Cisco, c.pair.Juniper)) == 0 {
+			t.Fatalf("%s: no differences found", c.name)
+		}
+		size := enc.F.Size()
+		t.Logf("%s: %d arena nodes, %.0f per rule", c.name, size, float64(size)/rules)
+		if size > 200*rules {
+			t.Errorf("%s: %d arena nodes, want ≤ %d (200 per rule)", c.name, size, 200*rules)
+		}
 	}
 }

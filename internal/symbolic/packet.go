@@ -11,6 +11,13 @@ import (
 // PacketEncoding maps packet headers onto BDD variables: source and
 // destination IPv4 address, IP protocol, transport ports, the TCP ACK/RST
 // bits (for "established"), and the ICMP type.
+//
+// Variable indices are fixed by the layout (source address, destination
+// address, protocol, ports, TCP bits, ICMP type). Their decision levels
+// are not: an encoding built for an ACL pair branches first on the
+// address field that partitions the pair's lines best (see
+// NewPacketEncodingFor). Everything the encoding exposes speaks variable
+// indices, so the level order changes node counts, never results.
 type PacketEncoding struct {
 	F *bdd.Factory
 
@@ -23,19 +30,72 @@ type PacketEncoding struct {
 	tcpRst   int
 	icmpType bitVec
 
+	// sigs is the signature table of the pair the levels were ordered
+	// for (nil for an identity-order encoding).
+	sigs *ACLSigTable
+
 	lineCache map[*ir.ACLLine]bdd.Node
 }
 
-// NewPacketEncoding allocates the packet variable space.
-func NewPacketEncoding() *PacketEncoding {
-	return NewPacketEncodingInto(nil)
+// NewPacketEncoding allocates the packet variable space; given the ACLs
+// to be compared it also orders the levels for them (see
+// NewPacketEncodingInto).
+func NewPacketEncoding(acls ...*ir.ACL) *PacketEncoding {
+	return NewPacketEncodingInto(nil, acls...)
 }
 
 // NewPacketEncodingInto is NewPacketEncoding recycling an existing
 // factory: if f is non-nil it is Reset and reused, so a worker comparing
 // many ACL pairs pays for one arena and op cache, not one per pair.
 // Nodes from before the call are invalidated.
-func NewPacketEncodingInto(f *bdd.Factory) *PacketEncoding {
+//
+// With no ACLs the level order is the identity (source address first).
+// Callers whose BDD structure leaves the process — fleet hashing
+// serializes it into content addresses — rely on that. Given ACLs, the
+// encoding is NewPacketEncodingFor over their signature table.
+func NewPacketEncodingInto(f *bdd.Factory, acls ...*ir.ACL) *PacketEncoding {
+	if len(acls) == 0 {
+		return newPacketEncoding(f)
+	}
+	return NewPacketEncodingFor(f, NewACLSigTable(acls...))
+}
+
+// packetLeadOverride, when "src" or "dst", replaces the score-chosen
+// leading field of every pair-ordered encoding. It exists so tests can
+// run the corpus under each order (export_test.go); nothing else sets it.
+var packetLeadOverride string
+
+// NewPacketEncodingFor is the pair-ordered constructor over an
+// already-built signature table, so one pair's stripes and merge share
+// one order and one scoring pass. The address field whose lines overlap
+// least at its best signature window (ACLSigTable's scores: line pairs
+// whose window masks meet) branches first; ties keep the identity.
+//
+// Why it matters: a first-match fold copies the later-branching field's
+// paths under every region of the earlier one. An ACL whose rules each
+// guard their own destination but share a few source pools builds ~8×
+// the nodes source-first that it does destination-first, and its mirror
+// the reverse, so no fixed order serves both. The table is kept on the
+// encoding; SigTableFor hands it back for the same pair.
+func NewPacketEncodingFor(f *bdd.Factory, sigs *ACLSigTable) *PacketEncoding {
+	e := newPacketEncoding(f)
+	e.sigs = sigs
+	lead := sigs.leadField()
+	if packetLeadOverride != "" {
+		lead = packetLeadOverride
+	}
+	if lead == "dst" {
+		order := append(e.dst.vars(), e.src.vars()...)
+		for v := e.proto.first; v < e.F.NumVars(); v++ {
+			order = append(order, v)
+		}
+		e.F.SetOrder(order)
+	}
+	return e
+}
+
+// newPacketEncoding lays out the variables over an identity order.
+func newPacketEncoding(f *bdd.Factory) *PacketEncoding {
 	e := &PacketEncoding{lineCache: map[*ir.ACLLine]bdd.Node{}}
 	n := 0
 	alloc := func(w int) int {
@@ -64,6 +124,17 @@ func NewPacketEncodingInto(f *bdd.Factory) *PacketEncoding {
 	e.dstPort = bitVec{f: e.F, first: dp, width: 16}
 	e.icmpType = bitVec{f: e.F, first: it, width: 8}
 	return e
+}
+
+// SigTableFor returns the signature table of the pair the encoding was
+// ordered for when acl1 and acl2 are that pair (either way round), and
+// a fresh table otherwise. LineSig memoizes, so a table shared across
+// goroutines must have signed every line first.
+func (e *PacketEncoding) SigTableFor(acl1, acl2 *ir.ACL) *ACLSigTable {
+	if e.sigs != nil && e.sigs.builtFor(acl1, acl2) {
+		return e.sigs
+	}
+	return NewACLSigTable(acl1, acl2)
 }
 
 // SrcIPVars returns the source address variables (for projection).

@@ -1,7 +1,7 @@
 package symbolic
 
 import (
-	"math/bits"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/netaddr"
@@ -275,10 +275,14 @@ func (e *RouteEncoding) SigWindow() int { return e.sigWinA }
 
 // ACLSigTable computes line signatures for one ACL diff: the windows
 // are chosen from both ACLs' lines together, so both sides' signatures
-// are comparable.
+// are comparable. The windows' overlap scores double as the pair's
+// packet-order signal (see NewPacketEncodingFor): the field whose lines
+// overlap least is the one to branch on first.
 type ACLSigTable struct {
-	srcW, dstW int
-	memo       map[*ir.ACLLine]Sig
+	srcW, dstW         int
+	srcScore, dstScore int64
+	acls               []*ir.ACL
+	memo               map[*ir.ACLLine]Sig
 }
 
 // wildcardSigMask returns the 32-bucket mask of one wildcard matcher
@@ -315,44 +319,86 @@ func fieldSigMask(w int, wcs []netaddr.Wildcard) uint32 {
 	return m
 }
 
+// fieldHull returns the interval hull [lowest, highest] of
+// fieldSigMask(w, wcs) without enumerating the mask: a wildcard's
+// compatible window values run from its cared bits (free bits 0) to its
+// cared bits with every free bit set, and a union's hull spans its
+// members' hulls.
+func fieldHull(w int, wcs []netaddr.Wildcard) (lo, hi uint32) {
+	if len(wcs) == 0 {
+		return 0, 31
+	}
+	shift := uint(32 - w - sigWindowWidth)
+	lo = 31
+	for _, wc := range wcs {
+		careWin := (^uint32(wc.Mask) >> shift) & 31
+		base := (uint32(wc.Addr) >> shift) & careWin
+		lo = min(lo, base)
+		hi = max(hi, base|^careWin&31)
+	}
+	return lo, hi
+}
+
 // chooseACLWindow scores every placement of one field's window across
 // all lines of the given ACLs by the number of line pairs whose masks
 // may intersect there (as in windowScore) and keeps the most
-// discriminating. Wildcard masks may be non-contiguous, so each mask is
-// widened to its interval hull [lowest set bucket, highest set bucket];
-// hull overlap over-approximates mask overlap uniformly, which is all a
-// relative score needs.
-func chooseACLWindow(acls []*ir.ACL, field func(*ir.ACLLine) []netaddr.Wildcard) int {
-	n := 0
+// discriminating, returning its offset and score. Wildcard masks may be
+// non-contiguous, so each mask is widened to its interval hull [lowest
+// set bucket, highest set bucket]; hull overlap over-approximates mask
+// overlap uniformly, which is all a relative score needs.
+func chooseACLWindow(acls []*ir.ACL, field func(*ir.ACLLine) []netaddr.Wildcard) (int, int64) {
+	var fields [][]netaddr.Wildcard
 	for _, acl := range acls {
-		n += len(acl.Lines)
+		for _, l := range acl.Lines {
+			fields = append(fields, field(l))
+		}
 	}
-	los := make([]uint32, 0, n)
-	his := make([]uint32, 0, n)
+	los := make([]uint32, len(fields))
+	his := make([]uint32, len(fields))
 	bestW, bestScore := 0, int64(1)<<62
 	for w := 0; w <= 32-sigWindowWidth; w++ {
-		los, his = los[:0], his[:0]
-		for _, acl := range acls {
-			for _, l := range acl.Lines {
-				m := fieldSigMask(w, field(l))
-				los = append(los, uint32(bits.TrailingZeros32(m)))
-				his = append(his, uint32(31-bits.LeadingZeros32(m)))
-			}
+		for k, wcs := range fields {
+			los[k], his[k] = fieldHull(w, wcs)
 		}
 		if score := overlapPairs(los, his); score < bestScore {
 			bestW, bestScore = w, score
 		}
 	}
-	return bestW
+	return bestW, bestScore
 }
 
 // NewACLSigTable chooses signature windows covering all given ACLs.
 func NewACLSigTable(acls ...*ir.ACL) *ACLSigTable {
-	return &ACLSigTable{
-		srcW: chooseACLWindow(acls, func(l *ir.ACLLine) []netaddr.Wildcard { return l.Src }),
-		dstW: chooseACLWindow(acls, func(l *ir.ACLLine) []netaddr.Wildcard { return l.Dst }),
-		memo: map[*ir.ACLLine]Sig{},
+	t := &ACLSigTable{acls: acls, memo: map[*ir.ACLLine]Sig{}}
+	t.srcW, t.srcScore = chooseACLWindow(acls, func(l *ir.ACLLine) []netaddr.Wildcard { return l.Src })
+	t.dstW, t.dstScore = chooseACLWindow(acls, func(l *ir.ACLLine) []netaddr.Wildcard { return l.Dst })
+	return t
+}
+
+// leadField names the address field whose lines overlap least at its
+// best window — the field a pair-ordered encoding branches on first.
+// Ties keep the layout's own order, source first.
+func (t *ACLSigTable) leadField() string {
+	if t.dstScore < t.srcScore {
+		return "dst"
 	}
+	return "src"
+}
+
+// builtFor reports whether the table was built over exactly the given
+// ACLs (as a set: the order of a pair does not change its windows).
+func (t *ACLSigTable) builtFor(acls ...*ir.ACL) bool {
+	for _, a := range acls {
+		if !slices.Contains(t.acls, a) {
+			return false
+		}
+	}
+	for _, a := range t.acls {
+		if !slices.Contains(acls, a) {
+			return false
+		}
+	}
+	return true
 }
 
 // LineSig returns the packed signature of one ACL line's match set; the
