@@ -96,7 +96,6 @@ type Factory struct {
 	existsMask []bool
 
 	cacheHits, cacheMisses uint64
-	gcRuns, gcReclaimed    uint64
 
 	// Interrupt state (see SetInterrupt). maxNodes bounds the nodes
 	// allocated since the last BeginWork; poll is the cancellation check
@@ -277,8 +276,6 @@ type Stats struct {
 	UniqueSlots int    // current hash-consing table capacity
 	CacheHits   uint64 // op-cache hits since creation or Reset
 	CacheMisses uint64 // op-cache misses since creation or Reset
-	GCRuns      uint64 // garbage collections since creation (survives Reset)
-	GCReclaimed uint64 // nodes reclaimed by those collections
 }
 
 // Stats reports the factory's current allocation and cache counters.
@@ -289,8 +286,6 @@ func (f *Factory) Stats() Stats {
 		UniqueSlots: len(f.unique),
 		CacheHits:   f.cacheHits,
 		CacheMisses: f.cacheMisses,
-		GCRuns:      f.gcRuns,
-		GCReclaimed: f.gcReclaimed,
 	}
 }
 
@@ -309,8 +304,6 @@ func (s Stats) Delta(since Stats) Stats {
 		UniqueSlots: s.UniqueSlots,
 		CacheHits:   s.CacheHits - since.CacheHits,
 		CacheMisses: s.CacheMisses - since.CacheMisses,
-		GCRuns:      s.GCRuns - since.GCRuns,
-		GCReclaimed: s.GCReclaimed - since.GCReclaimed,
 	}
 }
 

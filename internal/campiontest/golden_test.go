@@ -68,14 +68,12 @@ func TestGoldenCorpus(t *testing.T) {
 					buf.Bytes(), want)
 			}
 
-			// Kernel modes are pure optimizations: order search, factory
-			// collection, and intra-pair striping must all render the
-			// exact bytes the default configuration produced.
+			// Kernel modes are pure optimizations: intra-pair striping and
+			// the cross-call policy cache must both render the exact bytes
+			// the default configuration produced.
 			for name, opts := range map[string]campion.Options{
-				"reorder": {Reorder: true},
 				"workers": {Workers: 4},
-				"gc":      {Workers: 1, GC: true, PolicyCache: core.NewPolicyCache()},
-				"all":     {Workers: 4, Reorder: true, GC: true},
+				"cached":  {Workers: 1, PolicyCache: core.NewPolicyCache()},
 			} {
 				mrep, err := campion.Diff(cfg1, cfg2, opts)
 				if err != nil {

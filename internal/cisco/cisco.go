@@ -123,7 +123,7 @@ func (p *parser) parseLine(line string, indented bool) {
 			if p.cfg.BGP == nil {
 				p.cfg.BGP = ir.NewBGPConfig(asn)
 			}
-			p.cfg.BGP.Span = p.span(line)
+			p.cfg.BGP.Span.Extend(p.span(line))
 			p.mode = modeRouterBGP
 			return
 		}
@@ -132,7 +132,7 @@ func (p *parser) parseLine(line string, indented bool) {
 			if p.cfg.OSPF == nil {
 				p.cfg.OSPF = ir.NewOSPFConfig(pid)
 			}
-			p.cfg.OSPF.Span = p.span(line)
+			p.cfg.OSPF.Span.Extend(p.span(line))
 			p.mode = modeRouterOSPF
 			return
 		}

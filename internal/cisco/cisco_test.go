@@ -439,9 +439,10 @@ func TestStandardNamedACLBody(t *testing.T) {
 	}
 }
 
-// TestScatteredDefinitionSpans: route maps reopened later in the file,
-// clauses of two maps interleaved with `!` lines, and prefix-list and
-// ACL entries scattered between them. Every element's span must list
+// TestScatteredDefinitionSpans: route maps and `router bgp` / `router
+// ospf` stanzas reopened later in the file, clauses of two maps
+// interleaved with `!` lines, and prefix-list and ACL entries scattered
+// between them. Every element's span must list
 // exactly its own lines, in file order, and cover first to last line —
 // what merging the per-line spans one by one produces.
 func TestScatteredDefinitionSpans(t *testing.T) {
@@ -470,6 +471,13 @@ ip access-list extended E
 router bgp 65001
  neighbor 10.0.0.2 remote-as 65002
  neighbor 10.0.0.2 route-map M in
+router ospf 1
+ router-id 1.1.1.1
+!
+router bgp 65001
+ neighbor 10.0.0.3 remote-as 65003
+router ospf 1
+ redistribute static
 `
 	cfg, err := Parse("t.cfg", text)
 	if err != nil {
@@ -499,7 +507,8 @@ router bgp 65001
 		{"prefix-list A", cfg.PrefixLists["A"].Span, want(1, 9, 20)},
 		{"prefix-list B", cfg.PrefixLists["B"].Span, want(6)},
 		{"acl E", cfg.ACLs["E"].Span, want(14, 15, 21, 22)},
-		{"bgp", cfg.BGP.Span, want(23, 24, 25)},
+		{"bgp", cfg.BGP.Span, want(23, 24, 25, 29, 30)},
+		{"ospf", cfg.OSPF.Span, want(26, 27, 31, 32)},
 		{"neighbor", cfg.BGP.Neighbors["10.0.0.2"].Span, want(24, 25)},
 	} {
 		if c.got.Text() != c.want.Text() || c.got.Location() != c.want.Location() {

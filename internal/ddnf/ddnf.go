@@ -16,8 +16,8 @@
 // each node at most once per call, so a query touching a few prefixes
 // costs about the depth of their trie paths rather than the size of the
 // DAG. Its cached
-// nodes share the lifetime of the SetOps' Universe, so no bdd.Factory GC
-// or Reset may run while a Matcher is in use.
+// nodes share the lifetime of the SetOps' Universe, so no bdd.Factory
+// Reset may run while a Matcher is in use.
 package ddnf
 
 import (
@@ -250,7 +250,7 @@ type SetOps struct {
 // one, and within one call each (set, node) visit is answered once, so
 // a node reachable through several parents is walked once. The cached
 // nodes live as long as o.Universe does: like any holder of Universe,
-// the Matcher is invalid after a bdd.Factory GC or Reset.
+// the Matcher is invalid after a bdd.Factory Reset.
 type Matcher struct {
 	d                *DAG
 	o                SetOps

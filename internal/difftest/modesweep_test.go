@@ -26,17 +26,14 @@ func render(t *testing.T, rep *campion.Report) []byte {
 
 func modes() map[string]campion.Options {
 	return map[string]campion.Options{
-		"reorder": {Reorder: true},
 		"striped": {Workers: 4},
-		"gc":      {Workers: 1, GC: true, PolicyCache: core.NewPolicyCache()},
-		"all":     {Workers: 4, Reorder: true, GC: true},
+		"cached":  {Workers: 1, PolicyCache: core.NewPolicyCache()},
 	}
 }
 
 // TestRouteMapModeSweep: over the generated route-map corpus, every
-// kernel v3 mode (order search, factory GC, intra-pair striping, and
-// their combination) renders byte-identical reports to the default
-// engine. The oracle sweeps in this package check witness soundness;
+// kernel mode (intra-pair striping and the cross-call policy cache)
+// renders byte-identical reports to the default engine. The oracle sweeps in this package check witness soundness;
 // this one checks that the performance modes are invisible.
 func TestRouteMapModeSweep(t *testing.T) {
 	seeds := 500

@@ -430,9 +430,9 @@ func (s *Store) discard(path, kind string) {
 // OptionsFingerprint digests the report-affecting comparison options for
 // the report-cache key. Only settings that change report bytes
 // participate: the component set and the exhaustive-communities mode.
-// Workers, Reorder, and GC are deliberately excluded — reports are
-// byte-identical across them (pinned by the PR 6 golden-corpus mode
-// sweep) — so a cache warmed under one execution mode serves all others.
+// Workers is deliberately excluded — reports are byte-identical across
+// worker counts (pinned by the golden-corpus mode sweep) — so a cache
+// warmed under one execution mode serves all others.
 func OptionsFingerprint(opts core.Options) string {
 	comps := make([]string, len(opts.Components))
 	for i, c := range opts.Components {

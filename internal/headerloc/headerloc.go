@@ -51,8 +51,8 @@ type RouteLocalization struct {
 // RouteLocalizer localizes route-map differences over a fixed pair of
 // configurations. It caches per-node BDDs across Localize calls (see
 // ddnf.Matcher), so like the encoding's other derived nodes it is
-// invalid after a GC or Reset of the encoding's factory: callers must
-// not collect the factory while a localizer is live.
+// invalid after a Reset of the encoding's factory: callers must not
+// Reset the factory while a localizer is live.
 type RouteLocalizer struct {
 	enc   *symbolic.RouteEncoding
 	match *ddnf.Matcher
@@ -198,8 +198,8 @@ type ACLLocalization struct {
 }
 
 // ACLLocalizer localizes ACL differences over a fixed pair of ACLs. Its
-// per-node BDD caches carry the same rule as RouteLocalizer's: no GC or
-// Reset of the encoding's factory while the localizer is live.
+// per-node BDD caches carry the same rule as RouteLocalizer's: no Reset
+// of the encoding's factory while the localizer is live.
 type ACLLocalizer struct {
 	enc                *symbolic.PacketEncoding
 	srcMatch, dstMatch *ddnf.Matcher

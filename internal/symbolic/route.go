@@ -191,16 +191,6 @@ func VocabFingerprint(cfgs ...*ir.Config) string {
 // re-allocating the arena and op cache per pair. Nodes from before the
 // call are invalidated.
 func NewRouteEncodingInto(f *bdd.Factory, cfgs ...*ir.Config) *RouteEncoding {
-	return NewRouteEncodingIntoOrdered(f, nil, cfgs...)
-}
-
-// NewRouteEncodingIntoOrdered is NewRouteEncodingInto with an explicit
-// variable order (order[k] = variable at level k, as bdd.SetOrder): the
-// permutation is installed on the freshly reset factory before any node
-// is built. A nil order keeps the identity. Orders come from
-// ChooseRouteOrder over the same configurations, so the length always
-// matches the encoding's variable count.
-func NewRouteEncodingIntoOrdered(f *bdd.Factory, order []int, cfgs ...*ir.Config) *RouteEncoding {
 	v := gatherVocab(cfgs...)
 	comms := community.NewUniverse(v.literals, v.regexes)
 
@@ -256,9 +246,6 @@ func NewRouteEncodingIntoOrdered(f *bdd.Factory, order []int, cfgs ...*ir.Config
 		e.F = f
 	} else {
 		e.F = bdd.NewFactory(n)
-	}
-	if order != nil {
-		e.F.SetOrder(order)
 	}
 	e.prefixBits = bitVec{f: e.F, first: pb, width: 32}
 	e.prefixLen = bitVec{f: e.F, first: pl, width: 6}
